@@ -1,14 +1,13 @@
 package store
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 
-	"repro/internal/cleaner"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/segspace"
 )
 
 // Batch collects page writes and deletions for one atomic Apply. Build it
@@ -16,56 +15,25 @@ import (
 // Store.Apply. A Batch is not safe for concurrent use, but may be reused
 // (Reset) once Apply returns; page data is copied into the batch at Write
 // time, so callers may reuse their buffers immediately.
-type Batch struct {
-	ops []batchOp
-	buf []byte // arena holding every Write's payload copy
-}
-
-type batchOp struct {
-	id       uint32
-	tomb     bool
-	off, len int // payload range in buf (writes only)
-}
+type Batch struct{ ops segspace.Ops[uint32] }
 
 // NewBatch returns an empty batch.
 func NewBatch() *Batch { return &Batch{} }
 
 // Write adds a page write. The data is copied; its length is validated
 // against the store's page size at Apply time.
-func (b *Batch) Write(id uint32, data []byte) *Batch {
-	off := len(b.buf)
-	b.buf = append(b.buf, data...)
-	b.ops = append(b.ops, batchOp{id: id, off: off, len: len(data)})
-	return b
-}
+func (b *Batch) Write(id uint32, data []byte) *Batch { b.ops.Put(id, data); return b }
 
 // Delete adds a page deletion (a durable tombstone). The page must exist
 // when the batch is applied — either in the store or written earlier in
 // this batch — or Apply fails with ErrNotFound before changing anything.
-func (b *Batch) Delete(id uint32) *Batch {
-	b.ops = append(b.ops, batchOp{id: id, tomb: true})
-	return b
-}
+func (b *Batch) Delete(id uint32) *Batch { b.ops.Delete(id); return b }
 
 // Len returns the number of operations in the batch.
-func (b *Batch) Len() int { return len(b.ops) }
+func (b *Batch) Len() int { return b.ops.Len() }
 
 // Reset empties the batch for reuse, keeping its allocations.
-func (b *Batch) Reset() {
-	b.ops = b.ops[:0]
-	b.buf = b.buf[:0]
-}
-
-func (b *Batch) data(op *batchOp) []byte { return b.buf[op.off : op.off+op.len] }
-
-// plannedOp is one batch operation with its placement decided: the stream
-// it routes to and the page clock to install, both computed against a
-// virtual copy of the store state so planning mutates nothing.
-type plannedOp struct {
-	op     *batchOp
-	stream int32
-	clock  pageClock
-}
+func (b *Batch) Reset() { b.ops.Reset() }
 
 // Apply atomically applies a batch: one admission check, one lock hold,
 // and all-or-nothing visibility. Space for every record is reserved before
@@ -89,80 +57,48 @@ func (s *Store) Apply(b *Batch) error { return s.ApplySpanned(b, nil) }
 // the store the time went. A nil parent records nothing and costs one
 // branch per leg — the path every non-traced caller takes through Apply.
 func (s *Store) ApplySpanned(b *Batch, parent *obs.Span) error {
-	if b == nil || len(b.ops) == 0 {
+	if b == nil || b.ops.Len() == 0 {
 		return nil
 	}
-	for attempt := 0; ; attempt++ {
-		if s.cl != nil {
-			leg := parent.Child("store.admit")
-			err := s.cl.AdmitN(len(b.ops))
-			leg.End()
-			if err != nil {
-				if errors.Is(err, cleaner.ErrExhausted) {
-					return fmt.Errorf("%w: %v", ErrFull, err)
-				}
-				return fmt.Errorf("store: batch admission: %w", err)
-			}
-		}
-		leg := parent.Child("store.apply")
-		s.mu.Lock()
+	var seq uint64
+	err := s.sp.Admit(b.ops.Len(), parent, func() error {
 		err := s.applyLocked(b)
-		seq := s.seq
-		lowWater := s.cl != nil && len(s.free) < s.lowWaterLocked()
-		s.mu.Unlock()
-		leg.End()
-		if lowWater {
-			s.cl.Kick()
-		}
-		if errors.Is(err, ErrFull) && s.cl != nil && attempt < 4 {
-			continue
-		}
-		if err == nil && s.opts.Durability == core.DurCommit {
-			leg := parent.Child("store.commit.wait")
-			err = s.commitWait(seq)
-			leg.End()
-		}
+		seq = s.seq
 		return err
+	})
+	if err == nil && s.opts.Durability == core.DurCommit {
+		leg := parent.Child("store.commit.wait")
+		err = s.commitWait(seq)
+		leg.End()
 	}
+	return err
 }
 
 // applyLocked validates and plans the whole batch, then appends every
 // record. Planning reserves space up front: by the time the first old
 // version is invalidated, the apply loop can no longer fail with ErrFull.
 func (s *Store) applyLocked(b *Batch) error {
-	if s.closed {
+	if s.sp.Closed() {
 		return errClosed
 	}
-	plan, err := s.batchPrepareLocked(b)
+	if err := s.validateLocked(b); err != nil {
+		return err
+	}
+	size := s.recordSize()
+	plan, err := s.sp.PrepareBatch(&b.ops, func(uint32, []byte, bool) int64 { return size })
 	if err != nil {
 		return err
 	}
 	last := len(plan) - 1
 	for i := range plan {
-		p := &plan[i]
-		op := p.op
-		if err := s.ensureOpenBatch(p.stream); err != nil {
-			// Unreachable when the plan is sound; surface rather than hide.
-			return fmt.Errorf("store: batch reservation violated at op %d: %w", i, err)
+		id, data, tomb := b.ops.At(i)
+		stream, err := s.sp.UserAppend(id, &plan[i], size, tomb)
+		if err != nil {
+			return fmt.Errorf("store: batch op %d: %w", i, err)
 		}
-		s.unow++
-		s.trigger = p.stream
-		if s.clock != nil {
-			if op.tomb {
-				delete(s.clock, op.id)
-			} else {
-				s.clock[op.id] = p.clock
-			}
-		}
-		carried := s.invalidate(op.id)
 		flags := uint32(0)
-		var payload []byte
-		if op.tomb {
+		if tomb {
 			flags = flagTombstone
-			delete(s.table, op.id)
-		} else {
-			delete(s.tombstones, op.id)
-			payload = b.data(op)
 		}
 		if last > 0 {
 			// Multi-record batches carry commit markers so recovery can
@@ -173,11 +109,8 @@ func (s *Store) applyLocked(b *Batch) error {
 				flags |= flagBatchLast
 			}
 		}
-		if err := s.appendRecord(p.stream, op.id, flags, uint32(i), payload, carried); err != nil {
+		if err := s.appendUserLocked(stream, id, flags, uint32(i), data); err != nil {
 			return err
-		}
-		if !op.tomb {
-			s.userWrites++
 		}
 	}
 	if last > 0 {
@@ -186,129 +119,29 @@ func (s *Store) applyLocked(b *Batch) error {
 	return nil
 }
 
-// batchPrepareLocked plans the batch and secures the free segments it
-// needs. In foreground mode it runs cleaning first (to the same headroom
-// contract as per-op writes: every segment open happens at or above the
-// low-water mark); in background mode it fails fast with ErrFull and lets
-// the admission loop in Apply retry while the cleaner catches up.
-func (s *Store) batchPrepareLocked(b *Batch) ([]plannedOp, error) {
-	for guard := 0; ; guard++ {
-		plan, newSegs, err := s.planBatchLocked(b)
-		if err != nil {
-			return nil, err
-		}
-		if s.cl == nil {
-			target := s.lowWaterLocked() + newSegs - 1
-			if newSegs == 0 || len(s.free) >= target {
-				return plan, nil
+// validateLocked checks the batch against the page table before anything
+// is planned: every Delete must hit a page that exists at that point of the
+// batch, and every Write must carry exactly one page.
+func (s *Store) validateLocked(b *Batch) error {
+	exists := make(map[uint32]bool)
+	for i := 0; i < b.ops.Len(); i++ {
+		id, data, tomb := b.ops.At(i)
+		if !tomb {
+			if len(data) != s.opts.PageSize {
+				return fmt.Errorf("store: batch op %d: page data %d bytes, want %d", i, len(data), s.opts.PageSize)
 			}
-			if guard > 2*s.opts.MaxSegments {
-				return nil, fmt.Errorf("store: batch reservation cannot converge: %w", ErrFull)
-			}
-			if err := s.cleanUntil(func() int { return s.lowWaterLocked() + newSegs - 1 }); err != nil {
-				return nil, err
-			}
-			// Cleaning relocated records into the open segments, so the
-			// routing/space plan is stale: replan against the new state.
+			exists[id] = true
 			continue
 		}
-		if len(s.free) >= newSegs+s.batchNeed()-1 {
-			return plan, nil
+		e, known := exists[id]
+		if !known {
+			_, e = s.table[id]
 		}
-		return nil, ErrFull
-	}
-}
-
-// planBatchLocked validates the batch and computes, without mutating any
-// store state, where each record will go and how many fresh segments the
-// whole batch consumes. The virtual clock/existence/fill state replays
-// exactly what the apply loop will do, so the reservation is exact.
-func (s *Store) planBatchLocked(b *Batch) (plan []plannedOp, newSegs int, err error) {
-	r := s.alg().Router
-	plan = make([]plannedOp, len(b.ops))
-	var vclock map[uint32]pageClock
-	if r != nil {
-		vclock = make(map[uint32]pageClock)
-	}
-	vexists := make(map[uint32]bool)
-	vfill := make([]int, s.streams) // free slots left in each stream's open segment
-	for st := int32(0); st < s.streams; st++ {
-		if seg := s.open[st]; seg >= 0 {
-			vfill[st] = s.opts.SegmentPages - s.fill[seg]
+		if !e {
+			return fmt.Errorf("store: batch op %d deletes page %d: %w", i, id, ErrNotFound)
 		}
+		exists[id] = false
 	}
-	vunow := s.unow
-	for i := range b.ops {
-		op := &b.ops[i]
-		if op.tomb {
-			exists, known := vexists[op.id]
-			if !known {
-				_, exists = s.table[op.id]
-			}
-			if !exists {
-				return nil, 0, fmt.Errorf("store: batch op %d deletes page %d: %w", i, op.id, ErrNotFound)
-			}
-			vexists[op.id] = false
-		} else {
-			if op.len != s.opts.PageSize {
-				return nil, 0, fmt.Errorf("store: batch op %d: page data %d bytes, want %d", i, op.len, s.opts.PageSize)
-			}
-			vexists[op.id] = true
-		}
-		vunow++
-		var stream int32
-		var ck pageClock
-		if r != nil {
-			c, ok := vclock[op.id]
-			if !ok {
-				c = s.clock[op.id]
-			}
-			if c.last != 0 {
-				c.est = core.SmoothInterval(c.est, vunow-c.last)
-			}
-			c.last = vunow
-			if op.tomb {
-				// The apply loop drops the clock at a tombstone, so a
-				// same-batch rewrite routes as history-free — mirror that.
-				vclock[op.id] = pageClock{}
-			} else {
-				vclock[op.id] = c
-			}
-			stream = core.ClampStream(r.Route(uint64(c.est), -1), s.streams)
-			ck = c
-		}
-		if vfill[stream] == 0 {
-			newSegs++
-			vfill[stream] = s.opts.SegmentPages
-		}
-		vfill[stream]--
-		plan[i] = plannedOp{op: op, stream: stream, clock: ck}
-	}
-	return plan, newSegs, nil
-}
-
-// batchNeed is the free-pool floor a batch's segment opens respect: in
-// background mode the last free segment is left for the cleaner's GC
-// output, as for per-op writes.
-func (s *Store) batchNeed() int {
-	if s.cl != nil {
-		return 2
-	}
-	return 1
-}
-
-// ensureOpenBatch is ensureOpen for the batch apply loop: cleaning and
-// headroom decisions already happened in batchPrepareLocked, so it only
-// opens a segment when the stream has none.
-func (s *Store) ensureOpenBatch(stream int32) error {
-	if s.open[stream] >= 0 {
-		return nil
-	}
-	seg, err := s.openSegment(stream, s.batchNeed())
-	if err != nil {
-		return err
-	}
-	s.open[stream] = seg
 	return nil
 }
 
@@ -331,7 +164,8 @@ type commitRound struct {
 }
 
 // commitWait blocks until every record up to target is durable,
-// contributing to the group-commit statistics. Caller must not hold s.mu.
+// contributing to the group-commit statistics. Caller must not hold the
+// store lock.
 func (s *Store) commitWait(target uint64) error {
 	t0 := time.Now()
 	s.gcm.mu.Lock()
@@ -345,7 +179,7 @@ func (s *Store) commitWait(target uint64) error {
 
 // waitDurable is the group fsync: one goroutine runs a flush round over
 // the dirty segments, concurrent callers wait on it and re-check. Caller
-// must not hold s.mu (the flush snapshots under it).
+// must not hold the store lock (the flush snapshots under it).
 func (s *Store) waitDurable(target uint64) error {
 	g := &s.gcm
 	g.mu.Lock()
@@ -396,9 +230,9 @@ func (s *Store) flushDirty() (applied uint64, synced int, err error) {
 		seg int32
 		seq uint64
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	s.sp.Lock()
+	if s.sp.Closed() {
+		s.sp.Unlock()
 		return 0, 0, errClosed
 	}
 	applied = s.seq
@@ -406,20 +240,20 @@ func (s *Store) flushDirty() (applied uint64, synced int, err error) {
 	for seg, seq := range s.dirty {
 		segs = append(segs, entry{seg: seg, seq: seq})
 	}
-	s.mu.Unlock()
+	s.sp.Unlock()
 	for _, e := range segs {
 		if err := s.syncSeg(e.seg); err != nil {
 			return 0, synced, err
 		}
 		synced++
 	}
-	s.mu.Lock()
+	s.sp.Lock()
 	for _, e := range segs {
 		if s.dirty[e.seg] == e.seq {
 			delete(s.dirty, e.seg)
 		}
 	}
-	s.mu.Unlock()
+	s.sp.Unlock()
 	return applied, synced, nil
 }
 
@@ -453,7 +287,7 @@ func (s *Store) syncSeg(seg int32) error {
 
 // commitWatermarkLocked is the highest seq currently known fully durable:
 // the group-commit durable point, or the last checkpoint's coverage.
-// Caller holds s.mu (read or write); gcm.mu nests inside it.
+// Caller holds the store lock (read or write); gcm.mu nests inside it.
 func (s *Store) commitWatermarkLocked() uint64 {
 	s.gcm.mu.Lock()
 	d := s.gcm.durable
@@ -466,12 +300,12 @@ func (s *Store) commitWatermarkLocked() uint64 {
 // DurSeal who occasionally need a hard durability point. Concurrent Syncs
 // and DurCommit committers share flush rounds.
 func (s *Store) Sync() error {
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
+	s.sp.RLock()
+	if s.sp.Closed() {
+		s.sp.RUnlock()
 		return errClosed
 	}
 	target := s.seq
-	s.mu.RUnlock()
+	s.sp.RUnlock()
 	return s.waitDurable(target)
 }

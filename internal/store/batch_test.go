@@ -458,22 +458,10 @@ func TestCommittedBatchSurvivesMemberGarbageCollection(t *testing.T) {
 	t.Run("DurSeal clean close", func(t *testing.T) { run(t, core.DurSeal, false) })
 }
 
-func TestStoreSyncAndSealShim(t *testing.T) {
-	// The deprecated Sync bool maps onto DurSeal.
-	o, err := (Options{Sync: true}).withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Durability != core.DurSeal {
-		t.Errorf("Sync=true resolved to %v, want DurSeal", o.Durability)
-	}
-	o, err = (Options{Durability: core.DurCommit, Sync: true}).withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Durability != core.DurCommit {
-		t.Errorf("explicit Durability overridden by Sync shim: %v", o.Durability)
-	}
+// TestStoreExplicitSync checks Store.Sync, the explicit flush for the
+// weaker durability levels: it runs a flush round on a DurNone store, the
+// flushed writes survive a crash, and Sync on a closed store fails.
+func TestStoreExplicitSync(t *testing.T) {
 	if _, err := Open(Options{Durability: core.Durability(99)}); err == nil {
 		t.Error("invalid durability level accepted")
 	}

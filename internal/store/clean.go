@@ -12,470 +12,141 @@ import (
 	"repro/internal/cleaner"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/segspace"
 )
 
-// Cleaning is decomposed into the phases of the cleaner state machine
-// (select → relocate → release), shared by both modes:
-//
-//   - foreground mode runs all phases back to back under the write lock,
-//     exactly like the seed (a write blocks until the pool recovers);
-//   - background mode (internal/cleaner) interleaves: victims are marked
-//     core.SegCleaning under the lock, their records — then immutable —
-//     are read from storage with NO lock held, and relocated copies are
-//     installed in small chunks so user reads and writes proceed
-//     throughout. Each install re-checks that the record is still current,
-//     because a concurrent overwrite may have superseded it mid-flight.
-//
-// Crash safety relies on ordering in both modes: every live record of a
-// victim batch is rewritten (and optionally synced) into GC segments
-// BEFORE any victim is released for reuse, so at any instant every live
-// page has at least one intact on-disk copy; recovery picks the highest
+// Cleaning is internal/segspace's; the store supplies the hooks below.
+// Relocated copies reach storage before their victims are reused, so every
+// live page always has an intact on-disk copy; recovery picks the highest
 // sequence number.
 
-// cleanCand is one victim slot captured at selection time.
-type cleanCand struct {
-	seg     int32
+// cand is one victim slot captured at selection time.
+type cand struct {
 	slot    int32
 	si      slotInfo
-	up2     float64
-	payload []byte // loaded by loadCandidates; nil for tombstones
-}
-
-// clean runs foreground cleaning cycles until the free pool is back above
-// the low-water mark. Caller holds the write lock.
-func (s *Store) clean() error { return s.cleanUntil(s.lowWaterLocked) }
-
-// cleanUntil runs foreground cleaning cycles until the free pool reaches
-// target() — re-evaluated per cycle, since the routed reserve can grow as
-// GC output touches new streams. Batch reservation passes a higher target
-// than the low-water mark. Caller holds the write lock.
-func (s *Store) cleanUntil(target func() int) error {
-	guard := 0
-	dry := 0
-	for len(s.free) < target() {
-		n, net, err := s.cleanCycleLocked()
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			return ErrFull
-		}
-		// Cycles that only shuffle full segments reclaim nothing: the
-		// store's live data has (nearly) reached physical capacity.
-		if net <= 0 {
-			if dry++; dry >= 2 {
-				return fmt.Errorf("store: live data at physical capacity: %w", ErrFull)
-			}
-		} else {
-			dry = 0
-		}
-		if guard++; guard > 4*s.opts.MaxSegments {
-			return fmt.Errorf("store: cleaning cannot reach %d free segments: %w", target(), ErrFull)
-		}
-	}
-	return nil
+	payload []byte // loaded by load; nil for tombstones
 }
 
 // CleanOnce runs a single cleaning cycle regardless of the low-water mark
 // and returns the number of segments reclaimed.
-func (s *Store) CleanOnce() (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return 0, errClosed
-	}
-	n, _, err := s.cleanCycleLocked()
-	return n, err
-}
+func (s *Store) CleanOnce() (int, error) { return s.sp.CleanOnce() }
 
-// cleanCycleLocked runs one full cycle under the write lock and reports the
-// victim count and the net bytes reclaimed (released minus relocated).
-func (s *Store) cleanCycleLocked() (victimCount int, netBytes int64, err error) {
-	victims, cands, err := s.selectVictimsLocked(s.opts.CleanBatch)
-	if err != nil || len(victims) == 0 {
-		return 0, 0, err
-	}
-	if err := s.loadCandidates(cands); err != nil {
-		s.abortVictimsLocked(victims)
-		return 0, 0, err
-	}
-	s.sortForGC(cands)
-	_, moved, err := s.installRelocsLocked(cands)
-	if err != nil {
-		s.abortVictimsLocked(victims)
-		return 0, 0, err
-	}
-	if err := s.syncGCLocked(); err != nil {
-		s.abortVictimsLocked(victims)
-		return 0, 0, err
-	}
-	released := s.releaseVictimsLocked(victims)
-	return len(victims), released - moved, nil
-}
-
-// selectVictimsLocked asks the policy for up to max victims, marks them
-// SegCleaning (freezing their records), and snapshots their live slots.
-// Caller holds the write lock.
-func (s *Store) selectVictimsLocked(max int) ([]int32, []cleanCand, error) {
-	view := core.View{Now: s.unow, Segs: s.meta, TriggerStream: s.trigger}
-	victims := s.alg().Policy.Victims(view, max, nil)
-	if len(victims) == 0 {
-		return nil, nil, nil
-	}
-	for _, v := range victims {
-		if s.meta[v].State != core.SegSealed {
-			return nil, nil, fmt.Errorf("store: policy %s selected non-sealed segment %d", s.alg().Name, v)
+// live reports victim seg's slots that still hold the current version of a
+// page or deletion.
+func (s *Store) live(seg int32, yield func(cand)) {
+	for slot, si := range s.slots[seg] {
+		locs := s.table
+		if si.tombstone {
+			locs = s.tombstones
+		}
+		if loc, ok := locs[si.page]; ok && loc.seg == seg && loc.slot == int32(slot) {
+			yield(cand{slot: int32(slot), si: si})
 		}
 	}
-	var cands []cleanCand
-	for _, v := range victims {
-		m := &s.meta[v]
-		m.State = core.SegCleaning
-		// Emptiness-at-clean is measured now but credited to the stats
-		// only when the victim is actually released (an aborted victim
-		// was not cleaned and will be re-selected).
-		s.pendingE[v] = m.Emptiness()
-		s.hVictimE.Record(uint64(m.Emptiness() * 1000))
-		for slot, si := range s.slots[v] {
-			loc, ok := s.locOf(si.page, si.tombstone)
-			if ok && loc.seg == v && loc.slot == int32(slot) {
-				cands = append(cands, cleanCand{seg: v, slot: int32(slot), si: si, up2: m.Up2})
-			}
-		}
-	}
-	return victims, cands, nil
 }
 
-// loadCandidates reads the data payloads of cands from the backend and
-// verifies record identity. Victim segments are immutable while marked
-// SegCleaning, so this — the bulk of cleaning I/O — is safe to run with no
-// lock held, concurrently with reads and user appends.
-func (s *Store) loadCandidates(cands []cleanCand) error {
+// load reads the candidates' payloads and verifies record identity. It
+// runs with no lock held: victims are immutable while SegCleaning.
+func (s *Store) load(cands []segspace.Cand[cand]) error {
 	buf := make([]byte, s.recordSize())
 	for i := range cands {
 		c := &cands[i]
-		if c.si.tombstone {
+		if c.Rec.si.tombstone {
 			continue
 		}
-		if err := s.be.read(int(c.seg), s.slotOffset(int(c.slot)), buf); err != nil {
+		if err := s.be.read(int(c.Seg), s.slotOffset(int(c.Rec.slot)), buf); err != nil {
 			return err
 		}
 		h, data, err := decodeRecord(buf)
 		if err != nil {
-			return fmt.Errorf("store: cleaning segment %d slot %d: %w", c.seg, c.slot, err)
+			return fmt.Errorf("store: cleaning segment %d slot %d: %w", c.Seg, c.Rec.slot, err)
 		}
-		if h.page != c.si.page || h.seq != c.si.seq {
-			return fmt.Errorf("store: cleaning segment %d slot %d: record identity mismatch", c.seg, c.slot)
+		if h.page != c.Rec.si.page || h.seq != c.Rec.si.seq {
+			return fmt.Errorf("store: cleaning segment %d slot %d: record identity mismatch", c.Seg, c.Rec.slot)
 		}
-		c.payload = append([]byte(nil), data[:s.opts.PageSize]...)
+		c.Rec.payload = append([]byte(nil), data[:s.opts.PageSize]...)
 	}
 	return nil
 }
 
-// sortForGC separates relocations by update frequency (§5.3) when the
-// algorithm asks for it: coldest first by carried up2.
-func (s *Store) sortForGC(cands []cleanCand) {
-	if s.alg().SortGC {
-		sort.SliceStable(cands, func(i, j int) bool { return cands[i].up2 < cands[j].up2 })
-	}
-}
-
-// installRelocsLocked appends relocated copies of the candidates that are
-// still current, keeping victim accounting truthful (a relocated or pruned
-// record no longer counts against its victim). Caller holds the write
-// lock; background relocation calls it in small chunks.
-func (s *Store) installRelocsLocked(cands []cleanCand) (installed int, bytes int64, err error) {
-	for i := range cands {
-		c := &cands[i]
-		if c.si.tombstone {
-			loc, ok := s.tombstones[c.si.page]
-			if !ok || loc.seg != c.seg || loc.slot != c.slot {
-				continue // superseded since selection
-			}
-			if c.si.seq <= s.prunedSeq {
-				// The deletion is checkpoint-covered: drop the tombstone
-				// RECORD instead of relocating it — but the deletion itself
-				// must stay in the tombstone map (with no record location)
-				// so every future checkpoint keeps carrying it: stale data
-				// records of the page can survive in not-yet-reused
-				// segments, and forgetting the deletion would let recovery
-				// resurrect them.
-				s.tombstones[c.si.page] = pageLoc{seg: -1, slot: -1, seq: c.si.seq}
-				s.releaseVictimSlot(c.seg)
-				continue
-			}
-			if err := s.gcAppendLocked(c.si.page, flagTombstone, nil, c.up2); err != nil {
-				return installed, bytes, err
-			}
-			s.releaseVictimSlot(c.seg)
-			installed++
-			bytes += s.recordSize()
-			continue
+// relocate appends a relocated copy of a candidate that is still current.
+// A checkpoint-covered tombstone is dropped instead of relocated.
+func (s *Store) relocate(c *segspace.Cand[cand]) (freed int64, moved bool, err error) {
+	r := &c.Rec
+	flags := uint32(0)
+	if r.si.tombstone {
+		loc, ok := s.tombstones[r.si.page]
+		if !ok || loc.seg != c.Seg || loc.slot != r.slot {
+			return 0, false, nil // superseded since selection
 		}
-		loc, ok := s.table[c.si.page]
-		if !ok || loc.seg != c.seg || loc.slot != c.slot {
-			continue // overwritten or deleted since selection
+		if r.si.seq <= s.prunedSeq {
+			// The deletion is checkpoint-covered: drop the tombstone RECORD
+			// instead of relocating it — but the deletion itself must stay
+			// in the tombstone map (with no record location) so every
+			// future checkpoint keeps carrying it: stale data records of
+			// the page can survive in not-yet-reused segments, and
+			// forgetting the deletion would let recovery resurrect them.
+			s.tombstones[r.si.page] = pageLoc{seg: -1, slot: -1, seq: r.si.seq}
+			return s.recordSize(), false, nil
 		}
-		if err := s.gcAppendLocked(c.si.page, 0, c.payload, c.up2); err != nil {
-			return installed, bytes, err
-		}
-		s.releaseVictimSlot(c.seg)
-		installed++
-		bytes += s.recordSize()
+		flags = flagTombstone
+	} else if loc, ok := s.table[r.si.page]; !ok || loc.seg != c.Seg || loc.slot != r.slot {
+		return 0, false, nil // overwritten or deleted since selection
 	}
-	return installed, bytes, nil
-}
-
-// releaseVictimSlot credits a victim for one slot that no longer holds
-// current data (relocated or pruned).
-func (s *Store) releaseVictimSlot(seg int32) {
-	m := &s.meta[seg]
-	m.Live--
-	m.Free += s.recordSize()
-}
-
-// gcAppendLocked relocates one record. Without a router everything goes to
-// the dedicated GC stream 1; with one, the relocation is routed by the
-// interval implied by its carried up2 (§4.3's unow-up2 estimator), so hot
-// and cold GC output land in different segments (§5.3) instead of one
-// monolithic GC stream.
-func (s *Store) gcAppendLocked(page uint32, flags uint32, payload []byte, up2 float64) error {
-	stream := int32(1)
-	if r := s.alg().Router; r != nil {
-		stream = core.ClampStream(r.Route(uint64(core.EstimatedInterval(up2, s.unow)), -1), s.streams)
+	stream, err := s.sp.ReserveGC(c.Up2, s.recordSize())
+	if err != nil {
+		return 0, false, err
 	}
-	if err := s.ensureOpen(stream, true); err != nil {
-		return err
-	}
-	seg := s.open[stream]
-	if err := s.appendRecord(stream, page, flags, 0, payload, up2); err != nil {
-		return err
+	seg, err := s.appendRecord(stream, r.si.page, flags, 0, r.payload, c.Up2)
+	if err != nil {
+		return 0, false, err
 	}
 	if s.gcDirtySegs != nil {
 		s.gcDirtySegs[seg] = struct{}{}
 	}
-	s.gcWrites++
-	return nil
+	return s.recordSize(), true, nil
 }
 
-// gcDirtyListLocked snapshots the segments holding not-yet-durable GC
-// output. The sync point syncs them by id whether they are still open or
-// were sealed mid-cycle by a user write (a failed seal-fsync surfaces to
-// that writer, never to the cleaning cycle, so the cycle must not rely on
-// it); ids are only removed once their sync succeeded.
-func (s *Store) gcDirtyListLocked() []int32 {
-	if len(s.gcDirtySegs) == 0 {
-		return nil
+// gcDurable is the durability point before victims are reused. DurCommit
+// flushes the whole dirty set (shared with committers), so a relocated
+// batch record, which loses its batch markers, never becomes durable ahead
+// of its batch. DurSeal syncs the segments holding GC output by id, open or
+// sealed mid-cycle by a user write (whose seal-fsync error went to that
+// writer), forgetting ids only once synced. Off the lock (locked false) the
+// fsyncs stall no reader or writer.
+func (s *Store) gcDurable(locked bool) error {
+	if s.opts.Durability == core.DurCommit {
+		if locked {
+			return s.syncAllDirtyLocked()
+		}
+		s.sp.Lock()
+		target := s.seq
+		s.sp.Unlock()
+		return s.waitDurable(target)
+	}
+	if !locked {
+		s.sp.Lock()
 	}
 	segs := make([]int32, 0, len(s.gcDirtySegs))
 	for g := range s.gcDirtySegs {
 		segs = append(segs, g)
 	}
-	return segs
-}
-
-func (s *Store) clearGCDirtyLocked(segs []int32) {
+	if !locked {
+		s.sp.Unlock()
+	}
+	for _, g := range segs {
+		if err := s.syncSeg(g); err != nil {
+			return err
+		}
+	}
+	if !locked {
+		s.sp.Lock()
+		defer s.sp.Unlock()
+	}
 	for _, g := range segs {
 		delete(s.gcDirtySegs, g)
 	}
-}
-
-// syncGCLocked is the durability point: relocated copies reach storage
-// before victims are reused. Under DurSeal only the segments holding GC
-// output are synced; under DurCommit the whole dirty set is flushed, so a
-// relocated copy of a batch record (which loses its batch markers) never
-// becomes durable ahead of the rest of its batch — releasing the victim
-// then cannot let recovery surface the batch partially.
-func (s *Store) syncGCLocked() error {
-	switch s.opts.Durability {
-	case core.DurSeal:
-		segs := s.gcDirtyListLocked()
-		for _, g := range segs {
-			if err := s.syncSeg(g); err != nil {
-				return err
-			}
-		}
-		s.clearGCDirtyLocked(segs)
-	case core.DurCommit:
-		return s.syncAllDirtyLocked()
-	}
 	return nil
-}
-
-// releaseVictimsLocked returns victims to the free pool and reports the
-// gross capacity bytes released. Caller holds the write lock.
-func (s *Store) releaseVictimsLocked(victims []int32) (releasedBytes int64) {
-	for _, v := range victims {
-		m := &s.meta[v]
-		if e, ok := s.pendingE[v]; ok {
-			s.cleanedSegs++
-			s.sumEAtClean += e
-			delete(s.pendingE, v)
-		}
-		releasedBytes += m.Capacity
-		m.State = core.SegFree
-		m.Live = 0
-		m.Free = m.Capacity
-		m.Up2 = 0
-		s.slots[v] = s.slots[v][:0]
-		s.fill[v] = 0
-		// A stale dirty id from an aborted cycle no longer matters once the
-		// segment's live data was re-relocated and synced; drop it so the
-		// reused segment is not pointlessly fsynced.
-		if s.gcDirtySegs != nil {
-			delete(s.gcDirtySegs, v)
-		}
-		s.free = append(s.free, v)
-	}
-	s.freeCount.Store(int64(len(s.free)))
-	return releasedBytes
-}
-
-// abortVictimsLocked reverts victims to sealed after a failed relocation so
-// a later cycle can retry them.
-func (s *Store) abortVictimsLocked(victims []int32) {
-	for _, v := range victims {
-		if s.meta[v].State == core.SegCleaning {
-			s.meta[v].State = core.SegSealed
-			delete(s.pendingE, v)
-		}
-	}
-}
-
-func (s *Store) alg() core.Algorithm { return s.opts.Algorithm }
-
-// relocChunk is how many records background relocation installs per lock
-// hold, bounding writer stalls behind the cleaner.
-const relocChunk = 16
-
-// cleanerTarget adapts the store to cleaner.Target. The cleaner drives one
-// cycle at a time (SelectVictims → Relocate → Release/Abort), so the
-// candidate snapshot can be carried between calls.
-type cleanerTarget struct {
-	s     *Store
-	cands []cleanCand
-}
-
-func (t *cleanerTarget) FreeSegments() int { return int(t.s.freeCount.Load()) }
-
-func (t *cleanerTarget) SelectVictims(max int) []int32 {
-	s := t.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	victims, cands, err := s.selectVictimsLocked(max)
-	if err != nil {
-		// A policy violating the sealed-victims contract is a bug; skip the
-		// cycle rather than corrupt state.
-		return nil
-	}
-	t.cands = cands
-	return victims
-}
-
-func (t *cleanerTarget) Relocate(victims []int32) (int, int64, error) {
-	s := t.s
-	cands := t.cands
-	t.cands = nil
-	// Bulk I/O with no lock held: victim records are frozen by SegCleaning.
-	if err := s.loadCandidates(cands); err != nil {
-		return 0, 0, err
-	}
-	s.sortForGC(cands)
-	// Install in small chunks so user writes interleave with the cleaner.
-	installed, moved, err := cleaner.RelocateChunks(len(cands), relocChunk,
-		func(lo, hi int) (int, int64, error) {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			if s.closed {
-				return 0, 0, errClosed
-			}
-			return s.installRelocsLocked(cands[lo:hi])
-		})
-	if err != nil {
-		return installed, moved, err
-	}
-	// Durability point, without stalling readers/writers behind the fsync:
-	// the dirty segment ids are captured under the lock, the syncs run
-	// outside it, and the ids are removed only once every sync succeeded
-	// (a failed sync leaves them for Abort's own durability point). A
-	// segment sealed concurrently is still synced here by id — the cycle
-	// never relies on seal()'s fsync, whose error goes to the sealing
-	// writer.
-	switch s.opts.Durability {
-	case core.DurSeal:
-		s.mu.Lock()
-		gs := s.gcDirtyListLocked()
-		s.mu.Unlock()
-		for _, g := range gs {
-			if err := s.syncSeg(g); err != nil {
-				return installed, moved, err
-			}
-		}
-		s.mu.Lock()
-		s.clearGCDirtyLocked(gs)
-		s.mu.Unlock()
-	case core.DurCommit:
-		// Full group flush (shared with committers): relocated copies AND
-		// any in-flight batch appends reach storage before victims are
-		// released, preserving both the crash-safety ordering and
-		// whole-batch atomicity.
-		s.mu.Lock()
-		target := s.seq
-		s.mu.Unlock()
-		if err := s.waitDurable(target); err != nil {
-			return installed, moved, err
-		}
-	}
-	return installed, moved, nil
-}
-
-func (t *cleanerTarget) Release(victims []int32) int64 {
-	s := t.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.releaseVictimsLocked(victims)
-}
-
-// Abort reverts victims after a failed relocation — but a victim whose
-// every record was already relocated or dead holds nothing, and releasing
-// it guarantees the cleaner makes progress even when the failure was the
-// GC stream running out of space mid-batch (re-sealing everything would
-// wedge: no free segments, no new garbage from blocked writers, every
-// retry failing the same way). Durability ordering still holds: the GC
-// segment is synced before any drained victim can be reused.
-func (t *cleanerTarget) Abort(victims []int32) {
-	s := t.s
-	t.cands = nil
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var drained []int32
-	for _, v := range victims {
-		if s.meta[v].State != core.SegCleaning {
-			continue
-		}
-		if s.meta[v].Live == 0 {
-			drained = append(drained, v)
-		} else {
-			s.meta[v].State = core.SegSealed
-			delete(s.pendingE, v)
-		}
-	}
-	if len(drained) == 0 {
-		return
-	}
-	if err := s.syncGCLocked(); err != nil {
-		// Without the durability point the drained victims must stay
-		// frozen; re-seal them for a later cycle.
-		for _, v := range drained {
-			s.meta[v].State = core.SegSealed
-			delete(s.pendingE, v)
-		}
-		return
-	}
-	s.releaseVictimsLocked(drained)
 }
 
 // checkpoint file layout: magic (8) | unow (8) | prunedSeq (8) |
@@ -494,8 +165,8 @@ func (s *Store) checkpointPath() string { return filepath.Join(s.opts.Dir, "CHEC
 // Checkpoint persists the cleaning estimates and the deletion set. After a
 // checkpoint, tombstones covered by it may be pruned during cleaning.
 func (s *Store) Checkpoint() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.sp.Lock()
+	defer s.sp.Unlock()
 	return s.checkpointLocked()
 }
 
@@ -505,9 +176,10 @@ func (s *Store) checkpointLocked() error {
 		s.prunedSeq = s.seq
 		return nil
 	}
-	buf := make([]byte, 0, 64+len(s.tombstones)*4+len(s.meta)*8)
+	meta := s.sp.Meta
+	buf := make([]byte, 0, 64+len(s.tombstones)*4+len(meta)*8)
 	buf = append(buf, checkpointMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, s.unow)
+	buf = binary.LittleEndian.AppendUint64(buf, s.sp.Now)
 	buf = binary.LittleEndian.AppendUint64(buf, s.seq)
 	deleted := make([]uint32, 0, len(s.tombstones))
 	for page := range s.tombstones {
@@ -518,13 +190,13 @@ func (s *Store) checkpointLocked() error {
 	for _, page := range deleted {
 		buf = binary.LittleEndian.AppendUint32(buf, page)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.meta)))
-	for i := range s.meta {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.meta[i].Up2))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(meta)))
+	for i := range meta {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(meta[i].Up2))
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 
-	// Atomic install: write the temporary file (fsynced under Options.Sync,
+	// Atomic install: write the temporary file (fsynced unless DurNone,
 	// with the error propagated — a silently failed sync would let a crash
 	// lose the checkpoint the caller was just promised), rename it over the
 	// old checkpoint, then fsync the directory so the rename itself is
@@ -622,18 +294,14 @@ func (s *Store) readCheckpoint() (*checkpoint, error) {
 // Close stops the background cleaner (if any), seals open segments,
 // checkpoints, and releases resources.
 func (s *Store) Close() error {
-	if s.cl != nil {
-		s.cl.Stop()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
+	s.sp.StopCleaner()
+	s.sp.Lock()
+	defer s.sp.Unlock()
+	if s.sp.Closed() {
 		return nil
 	}
-	for stream := int32(0); stream < s.streams; stream++ {
-		if err := s.seal(stream); err != nil {
-			return err
-		}
+	if err := s.sp.SealAll(); err != nil {
+		return err
 	}
 	if s.opts.Durability == core.DurCommit {
 		// Seals skip their per-segment fsync under DurCommit; flush the
@@ -645,7 +313,7 @@ func (s *Store) Close() error {
 	if err := s.checkpointLocked(); err != nil {
 		return err
 	}
-	s.closed = true
+	s.sp.MarkClosed()
 	return s.be.close()
 }
 
@@ -686,76 +354,42 @@ type Stats struct {
 	Cleaner    cleaner.Stats
 }
 
-// Stats returns a snapshot of the store's counters.
 // Obs returns the store's metrics registry (always non-nil): the store.*
 // and cleaner.* series plus the trace events, snapshottable at any time
 // with Registry.Snapshot.
-func (s *Store) Obs() *obs.Registry { return s.obsReg }
+func (s *Store) Obs() *obs.Registry { return s.opts.Obs }
 
+// Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
-	s.mu.RLock()
+	s.sp.RLock()
+	u := s.sp.Usage()
 	st := Stats{
 		LivePages:       len(s.table),
 		Tombstones:      len(s.tombstones),
-		FreeSegments:    len(s.free),
+		FreeSegments:    u.FreeSegments,
+		SealedSegments:  u.SealedSegments,
 		UserWrites:      s.userWrites,
-		GCWrites:        s.gcWrites,
-		SegmentsCleaned: s.cleanedSegs,
+		GCWrites:        u.GCRecords,
+		SegmentsCleaned: u.SegmentsCleaned,
+		MeanEAtClean:    u.MeanEAtClean,
 		CapacityPages:   s.opts.MaxSegments * s.opts.SegmentPages,
-		UpdateClock:     s.unow,
-		Streams:         s.streamStatsLocked(),
+		UpdateClock:     s.sp.Now,
+		Streams:         u.Streams,
 		Durability:      s.opts.Durability.String(),
 		BatchesApplied:  s.batches,
 	}
-	// A segment mid-clean still holds sealed data until released.
-	for i := range s.meta {
-		if state := s.meta[i].State; state == core.SegSealed || state == core.SegCleaning {
-			st.SealedSegments++
-		}
-	}
-	if s.userWrites > 0 {
-		st.WriteAmp = float64(s.gcWrites) / float64(s.userWrites)
-	}
-	if s.cleanedSegs > 0 {
-		st.MeanEAtClean = s.sumEAtClean / float64(s.cleanedSegs)
+	s.sp.RUnlock()
+	if st.UserWrites > 0 {
+		st.WriteAmp = float64(st.GCWrites) / float64(st.UserWrites)
 	}
 	if st.CapacityPages > 0 {
 		st.FillFactor = float64(st.LivePages) / float64(st.CapacityPages)
 	}
-	s.mu.RUnlock()
 	s.gcm.mu.Lock()
 	st.Commits = s.gcm.commits
 	st.FsyncRounds = s.gcm.rounds
 	st.Fsyncs = s.gcm.syncs
 	s.gcm.mu.Unlock()
-	if s.cl != nil {
-		st.Background = true
-		st.Cleaner = s.cl.Stats()
-	}
+	st.Background, st.Cleaner = s.sp.Cleaner()
 	return st
-}
-
-// streamStatsLocked aggregates per-stream occupancy: which streams the
-// routed placement actually filled, and how full each stream's open
-// segment is. Caller holds at least the read lock.
-func (s *Store) streamStatsLocked() []core.StreamStats {
-	ss := make([]core.StreamStats, s.streams)
-	for seg := range s.meta {
-		m := &s.meta[seg]
-		if m.State == core.SegFree {
-			continue
-		}
-		i := core.ClampStream(m.Stream, s.streams)
-		ss[i].Segments++
-		ss[i].Live += int(m.Live)
-		ss[i].LiveBytes += int64(m.Live) * s.recordSize()
-		if m.State == core.SegOpen {
-			ss[i].OpenSegments++
-			ss[i].OpenFill = float64(s.fill[seg]) / float64(s.opts.SegmentPages)
-		}
-	}
-	for i := range ss {
-		ss[i].Written = s.seen.Has(int32(i))
-	}
-	return ss
 }

@@ -61,6 +61,14 @@ func TestObsSnapshotUnderConcurrentWrites(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	pollers.Wait()
+	// Stop the background cleaner before the final cut: it keeps reclaiming
+	// toward its high watermark after the writers finish, and a victim
+	// released between the Stats and Snapshot reads below would make two
+	// correct counters disagree. Close seals and checkpoints but cleans
+	// nothing, and Stats stays readable after it.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	st := s.Stats()
 	snap := s.Obs().Snapshot()

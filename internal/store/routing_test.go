@@ -248,9 +248,9 @@ func TestRecoverySealOrderMatchesLogOrder(t *testing.T) {
 		minSeq  uint64
 	}
 	var segs []seg
-	s2.mu.RLock()
-	for id := range s2.meta {
-		m := &s2.meta[id]
+	s2.sp.RLock()
+	for id := range s2.sp.Meta {
+		m := &s2.sp.Meta[id]
 		if m.State != core.SegSealed || len(s2.slots[id]) == 0 {
 			continue
 		}
@@ -262,7 +262,7 @@ func TestRecoverySealOrderMatchesLogOrder(t *testing.T) {
 		}
 		segs = append(segs, seg{id: int32(id), sealSeq: m.SealSeq, minSeq: minSeq})
 	}
-	s2.mu.RUnlock()
+	s2.sp.RUnlock()
 	if len(segs) < 5 {
 		t.Fatalf("only %d sealed segments recovered", len(segs))
 	}
@@ -310,15 +310,15 @@ func TestRecoveryClockNeverRegresses(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	s2.mu.RLock()
-	unow, seq := s2.unow, s2.seq
+	s2.sp.RLock()
+	unow, seq := s2.sp.Now, s2.seq
 	var maxUp2 float64
-	for i := range s2.meta {
-		if s2.meta[i].Up2 > maxUp2 {
-			maxUp2 = s2.meta[i].Up2
+	for i := range s2.sp.Meta {
+		if s2.sp.Meta[i].Up2 > maxUp2 {
+			maxUp2 = s2.sp.Meta[i].Up2
 		}
 	}
-	s2.mu.RUnlock()
+	s2.sp.RUnlock()
 	if unow < seq {
 		t.Errorf("recovered update clock %d below max record sequence %d: clock ran backwards", unow, seq)
 	}
@@ -334,7 +334,7 @@ func TestRecoveryClockNeverRegresses(t *testing.T) {
 func TestCheckpointCrashMidInstall(t *testing.T) {
 	dir := t.TempDir()
 	opts := testOpts(dir)
-	opts.Sync = true // exercise the fsync-and-propagate path too
+	opts.Durability = core.DurSeal // exercise the fsync-and-propagate path too
 	s, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)

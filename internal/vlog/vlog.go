@@ -11,24 +11,20 @@
 // the variable-size declining-cost form of paper §4.4 — the (B-A)/C average
 // live record size is exactly the 1/C factor in core.DecliningCost.
 //
-// Cleaning runs foreground (inside Put, the default) or background with
-// Options.BackgroundClean: the shared engine of internal/cleaner relocates
-// victims — marked core.SegCleaning, which freezes their bytes — in small
-// chunks between user operations, and paces writers only below the
-// emergency floor.
+// The segment lifecycle and cleaning, foreground (inside Put) or in the
+// background (Options.BackgroundClean), are internal/segspace's.
 package vlog
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cleaner"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/segspace"
 )
 
 // ErrFull means cleaning cannot reclaim enough space for the write.
@@ -102,32 +98,11 @@ func (o Options) withDefaults() (Options, error) {
 	if !o.Durability.Valid() {
 		return o, fmt.Errorf("vlog: invalid durability level %d", o.Durability)
 	}
-	if o.SegmentBytes < 64 || o.MaxSegments < o.FreeLowWater+2 {
+	if o.SegmentBytes < 64 {
 		return o, fmt.Errorf("vlog: invalid geometry %+v", o)
 	}
-	if o.FreeLowWater <= o.CleanBatch {
-		return o, fmt.Errorf("vlog: FreeLowWater (%d) must exceed CleanBatch (%d)", o.FreeLowWater, o.CleanBatch)
-	}
-	if o.Algorithm.Exact {
-		return o, fmt.Errorf("vlog: exact-rate algorithm %s needs a workload oracle; use the estimator variant", o.Algorithm.Name)
-	}
-	if r := o.Algorithm.Router; r != nil {
-		n := int(r.Streams())
-		if n < 2 || n > core.MaxRouterStreams {
-			return o, fmt.Errorf("vlog: routed algorithm %s declares %d streams (want 2..%d)",
-				o.Algorithm.Name, n, core.MaxRouterStreams)
-		}
-		// Each stream can pin one open segment AND adds one to the
-		// effective low-water reserve (see the page store's identical
-		// check): both must fit or thin routed data wedges the store.
-		if o.MaxSegments < o.FreeLowWater+2*n+2 {
-			return o, fmt.Errorf("vlog: routed algorithm %s needs MaxSegments >= FreeLowWater(%d) + 2*streams(%d) + 2",
-				o.Algorithm.Name, o.FreeLowWater, n)
-		}
-	}
-	// FreeHighWater, FreeEmergency and Pacer defaulting/validation live in
-	// cleaner.Options.withDefaults (one copy for every engine); zero values
-	// pass straight through to cleaner.Start.
+	// Watermark, batch and routed-geometry checks are segspace's; the
+	// background watermarks and Pacer default in internal/cleaner.
 	if o.Obs == nil {
 		o.Obs = obs.New()
 	}
@@ -142,25 +117,23 @@ type loc struct {
 	off int32
 }
 
-type openSeg struct {
-	id     int32
-	off    int
-	count  int
-	up2Sum float64
+// vcand is one live record captured at selection. Its key and offset stay
+// valid while the victim is in core.SegCleaning, which freezes its bytes.
+type vcand struct {
+	off  int32
+	size int32
+	key  string
 }
 
-// keyClock is a key's update history: the update-clock tick of its last Put
-// and the smoothed interval between successive Puts (core.SmoothInterval).
-// It exists only when a router needs the signal.
-type keyClock struct {
-	last uint64
-	est  uint32
-}
+// relocChunk is how many records background relocation installs per lock
+// hold: the store is in-memory, so the cost is the memcpy and the lock is
+// dropped between chunks rather than during I/O.
+const relocChunk = 64
 
-// Store is an in-memory log-structured KV store. Safe for concurrent use:
+// Store is an in-memory log-structured KV store, safe for concurrent use:
 // Gets share an RLock, Puts/Deletes and cleaning installs take the write
-// lock, and the background cleaner works in small chunks so user
-// operations interleave with it.
+// lock (segspace's), and the background cleaner works in small chunks so
+// user operations interleave with it.
 //
 // Close contract: after Close, EVERY operation observes the closed state —
 // mutators (Put, Delete, Commit) fail with an error, Get reports the key
@@ -168,49 +141,19 @@ type keyClock struct {
 // not return stale data from a store whose backing memory is conceptually
 // released.
 type Store struct {
-	mu   sync.RWMutex
+	sp   *segspace.Space[string, vcand]
 	opts Options
 
-	segs [][]byte
-	meta []core.SegmentMeta
-	fill []int // valid bytes per segment
+	segs  [][]byte
+	index map[string]loc
 
-	index     map[string]loc
-	free      []int32
-	freeCount atomic.Int64 // len(free), readable without the lock
-	open      []openSeg // indexed by stream
-
-	// Stream routing. Without a router there are two fixed streams (user=0,
-	// GC=1); with one, user and GC appends share Router.Streams() streams
-	// chosen by estimated update interval. clock tracks each key's last
-	// write tick and smoothed interval (the router's signal) and is nil
-	// when no router is configured.
-	streams int32
-	clock   map[string]keyClock
-	seen    core.StreamSet // streams ever appended to (free-pool reserve)
-	trigger int32          // stream of the most recent user append (View.TriggerStream)
-
-	unow    uint64
-	sealSeq uint64
-	closed  bool
-
-	userWrites, gcWrites          uint64
-	userBytes, gcBytes, liveBytes uint64
-	commits                       uint64 // successful multi-record Commits
-	cleanedSegs                   uint64
-	sumEAtClean                   float64
-	pendingE                      map[int32]float64 // emptiness-at-selection of in-flight victims
-
-	cl *cleaner.Cleaner // background cleaner; nil in foreground mode
+	userWrites, userBytes uint64
+	commits               uint64 // successful multi-record Commits
 
 	// obs handles, resolved once at New (see internal/obs).
-	obsReg   *obs.Registry
-	hPut     *obs.Histogram // vlog.put.ns: Put, admission through append
-	hGet     *obs.Histogram // vlog.get.ns
-	hCommit  *obs.Histogram // vlog.commit.ns: batch Commits
-	hVictimE *obs.Histogram // vlog.victim_e.permille
-	cErrFull *obs.Counter   // vlog.errfull episodes
-	trace    *obs.Trace
+	hPut    *obs.Histogram // vlog.put.ns: Put, admission through append
+	hGet    *obs.Histogram // vlog.get.ns
+	hCommit *obs.Histogram // vlog.commit.ns: batch Commits
 }
 
 // New creates a store.
@@ -219,57 +162,38 @@ func New(opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	streams, routedStreams := int32(2), 0
-	if r := opts.Algorithm.Router; r != nil {
-		streams = r.Streams()
-		routedStreams = int(streams)
-	}
 	s := &Store{
-		opts:     opts,
-		segs:     make([][]byte, opts.MaxSegments),
-		meta:     make([]core.SegmentMeta, opts.MaxSegments),
-		fill:     make([]int, opts.MaxSegments),
-		index:    make(map[string]loc),
-		pendingE: make(map[int32]float64),
-		streams:  streams,
-		open:     make([]openSeg, streams),
+		opts:  opts,
+		segs:  make([][]byte, opts.MaxSegments),
+		index: make(map[string]loc),
 	}
-	for i := range s.open {
-		s.open[i].id = -1
+	s.sp, err = segspace.New[string](segspace.Config{
+		Name:         "vlog",
+		ErrFull:      ErrFull,
+		ErrClosed:    errClosed,
+		Segments:     opts.MaxSegments,
+		SegmentBytes: int64(opts.SegmentBytes),
+		LowWater:     opts.FreeLowWater,
+		Batch:        opts.CleanBatch,
+		HighWater:    opts.FreeHighWater,
+		Emergency:    opts.FreeEmergency,
+		Algorithm:    opts.Algorithm,
+		Background:   opts.BackgroundClean,
+		Pacer:        opts.Pacer,
+		Obs:          opts.Obs,
+		Chunk:        relocChunk,
+	}, segspace.Hooks[vcand]{Live: s.live, Relocate: s.relocate, Opened: s.opened})
+	if err != nil {
+		return nil, err
 	}
-	s.obsReg = opts.Obs
+	for seg := opts.MaxSegments - 1; seg >= 0; seg-- {
+		s.sp.Free(int32(seg)) // segment 0 is used first
+	}
 	s.hPut = opts.Obs.Histogram("vlog.put.ns")
 	s.hGet = opts.Obs.Histogram("vlog.get.ns")
 	s.hCommit = opts.Obs.Histogram("vlog.commit.ns")
-	s.hVictimE = opts.Obs.Histogram("vlog.victim_e.permille")
-	s.cErrFull = opts.Obs.Counter("vlog.errfull")
-	s.trace = opts.Obs.Trace()
-	if opts.Algorithm.Router != nil {
-		s.clock = make(map[string]keyClock)
-	}
-	for i := range s.meta {
-		s.meta[i].Capacity = int64(opts.SegmentBytes)
-		s.meta[i].Free = int64(opts.SegmentBytes)
-	}
-	for i := opts.MaxSegments - 1; i >= 0; i-- {
-		s.free = append(s.free, int32(i))
-	}
-	s.freeCount.Store(int64(len(s.free)))
-	if opts.BackgroundClean {
-		cl, err := cleaner.Start(&cleanerTarget{s: s}, cleaner.Options{
-			LowWater:       opts.FreeLowWater,
-			HighWater:      opts.FreeHighWater,
-			EmergencyFloor: opts.FreeEmergency,
-			Batch:          opts.CleanBatch,
-			TotalSegments:  opts.MaxSegments,
-			Streams:        routedStreams,
-			Pacer:          opts.Pacer,
-			Obs:            opts.Obs,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.cl = cl
+	if err := s.sp.Start(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -280,12 +204,10 @@ func New(opts Options) (*Store, error) {
 // always returns nil — the error return exists so callers can treat every
 // engine mutator uniformly.
 func (s *Store) Close() error {
-	if s.cl != nil {
-		s.cl.Stop()
-	}
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
+	s.sp.StopCleaner()
+	s.sp.Lock()
+	s.sp.MarkClosed()
+	s.sp.Unlock()
 	return nil
 }
 
@@ -296,9 +218,9 @@ func recSize(key string, valLen int) int { return recHeader + len(key) + valLen 
 func (s *Store) Get(key string) ([]byte, bool) {
 	t0 := time.Now()
 	defer func() { s.hGet.Record(uint64(time.Since(t0))) }()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
+	s.sp.RLock()
+	defer s.sp.RUnlock()
+	if s.sp.Closed() {
 		return nil, false
 	}
 	l, ok := s.index[key]
@@ -319,95 +241,37 @@ func (s *Store) decode(l loc) (key string, val []byte) {
 	return string(b[recHeader : recHeader+kl]), b[recHeader+kl : recHeader+kl+vl]
 }
 
-// Put stores value under key, replacing any existing value.
+// Put stores value under key, replacing any existing value. Space is
+// secured before the old version is invalidated, so a failed Put (ErrFull)
+// never loses the key's current value. The put histogram covers the whole
+// user-observed latency: admission, the append, and retries.
 func (s *Store) Put(key string, value []byte) error {
 	size := recSize(key, len(value))
 	if size > s.opts.SegmentBytes {
 		return fmt.Errorf("%w: %d > %d", ErrTooLarge, size, s.opts.SegmentBytes)
 	}
 	t0 := time.Now()
-	err := s.putAdmitted(key, value, size)
+	err := s.sp.Admit(1, nil, func() error {
+		if s.sp.Closed() {
+			return errClosed
+		}
+		stream, err := s.sp.UserAppend(key, nil, int64(size), false)
+		if err == nil {
+			s.appendUserLocked(stream, key, value)
+		}
+		return err
+	})
 	s.hPut.Record(uint64(time.Since(t0)))
 	return err
 }
 
-// putAdmitted is Put's retry loop, split out so the put histogram covers
-// the whole user-observed latency: admission, the append, and retries.
-func (s *Store) putAdmitted(key string, value []byte, size int) error {
-	for attempt := 0; ; attempt++ {
-		if s.cl != nil {
-			if err := s.cl.Admit(); err != nil {
-				if errors.Is(err, cleaner.ErrExhausted) {
-					return fmt.Errorf("%w: %v", ErrFull, err)
-				}
-				return fmt.Errorf("vlog: write admission: %w", err)
-			}
-		}
-		s.mu.Lock()
-		err := s.putLocked(key, value, size)
-		lowWater := s.cl != nil && len(s.free) < s.lowWater()
-		s.mu.Unlock()
-		if lowWater {
-			s.cl.Kick()
-		}
-		if errors.Is(err, ErrFull) && s.cl != nil && attempt < 4 {
-			continue
-		}
-		return err
-	}
-}
-
-// putLocked reserves log space, then invalidates the old version and writes
-// the record. Space is secured first so a failed Put (ErrFull) never loses
-// the key's current value.
-func (s *Store) putLocked(key string, value []byte, size int) error {
-	if s.closed {
-		return errClosed
-	}
-	stream, clock := s.routeUserLocked(key)
-	if err := s.ensureRoom(stream, size, false); err != nil {
-		return err
-	}
-	s.unow++
-	s.trigger = stream
-	if s.clock != nil {
-		s.clock[key] = clock
-	}
-	carried := s.invalidate(key)
-	s.writeRecord(stream, key, value, carried)
+// appendUserLocked supersedes key's current value with a record on stream,
+// whose room UserAppend secured.
+func (s *Store) appendUserLocked(stream int32, key string, value []byte) {
+	size := uint64(recSize(key, len(value)))
+	s.writeRecord(stream, key, value, s.invalidate(key))
 	s.userWrites++
-	s.userBytes += uint64(size)
-	s.liveBytes += uint64(size)
-	return nil
-}
-
-// routeUserLocked picks the append stream for a Put of key and returns the
-// key's advanced clock (folded with this write's interval observation, to
-// be installed once the append is admitted). Without a router every user
-// write goes to stream 0.
-func (s *Store) routeUserLocked(key string) (int32, keyClock) {
-	r := s.opts.Algorithm.Router
-	if r == nil {
-		return 0, keyClock{}
-	}
-	now := s.unow + 1 // the tick this write will get
-	c := s.clock[key]
-	if c.last != 0 {
-		c.est = core.SmoothInterval(c.est, now-c.last)
-	}
-	c.last = now
-	return core.ClampStream(r.Route(uint64(c.est), -1), s.streams), c
-}
-
-// lowWater is the effective cleaning threshold: routed placement can hold
-// one partially-filled open segment per stream the workload actually uses,
-// so the reserve grows with the observed stream count (monotone).
-func (s *Store) lowWater() int {
-	lw := s.opts.FreeLowWater
-	if s.opts.Algorithm.Router != nil {
-		lw += s.seen.Count()
-	}
-	return lw
+	s.userBytes += size
 }
 
 // Delete removes key. Deleting an absent key is a no-op: the store is
@@ -415,140 +279,86 @@ func (s *Store) lowWater() int {
 // an error, so misuse after Close is observable instead of silently doing
 // nothing.
 func (s *Store) Delete(key string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
+	s.sp.Lock()
+	defer s.sp.Unlock()
+	if s.sp.Closed() {
 		return errClosed
 	}
-	s.unow++
+	s.sp.Forget(key)
 	s.invalidate(key)
-	delete(s.index, key)
-	delete(s.clock, key)
 	return nil
 }
 
-// invalidate releases key's current record and returns the carried up2.
+// invalidate drops key's current record from the index and returns the
+// carried up2.
 func (s *Store) invalidate(key string) float64 {
 	l, ok := s.index[key]
 	if !ok {
 		return 0
 	}
 	k, v := s.decode(l)
-	m := &s.meta[l.seg]
-	carried := core.NextUp2(m.Up2, s.unow)
-	m.Up2 = carried
-	m.Live--
-	size := int64(recSize(k, len(v)))
-	m.Free += size
-	s.liveBytes -= uint64(size)
 	delete(s.index, key)
-	return carried
+	return s.sp.Invalidate(l.seg, int64(recSize(k, len(v))))
 }
 
-// ensureRoom guarantees stream's open segment can take size more bytes,
-// sealing and reopening as needed. gc marks appends made by the cleaner:
-// user appends run foreground cleaning below the low-water mark when no
-// background cleaner owns the lifecycle, and leave the last free segment
-// for GC output; GC appends may consume the reserve they are defending.
-func (s *Store) ensureRoom(stream int32, size int, gc bool) error {
-	o := &s.open[stream]
-	if o.id >= 0 && o.off+size > s.opts.SegmentBytes {
-		s.seal(stream)
+// opened backs a segment with memory the first time it is used.
+func (s *Store) opened(seg, _ int32) error {
+	if s.segs[seg] == nil {
+		s.segs[seg] = make([]byte, s.opts.SegmentBytes)
 	}
-	if o.id >= 0 {
-		return nil
-	}
-	if !gc && s.cl == nil && len(s.free) < s.lowWater() {
-		if err := s.clean(); err != nil {
-			return err
-		}
-		// With routed placement the cleaning we just ran may have opened
-		// (and partially filled) this very stream's segment for its own
-		// relocations; opening another would orphan it in the open state.
-		if o.id >= 0 && o.off+size > s.opts.SegmentBytes {
-			s.seal(stream)
-		}
-		if o.id >= 0 {
-			return nil
-		}
-	}
-	need := 1
-	if !gc && s.cl != nil {
-		need = 2
-	}
-	return s.openSegFor(stream, need)
-}
-
-// openSegFor takes a free segment and opens it for stream. need is the
-// minimum pool size the caller may consume from (user appends in
-// background mode pass 2, leaving the last free segment for GC output).
-func (s *Store) openSegFor(stream int32, need int) error {
-	if len(s.free) < need {
-		s.cErrFull.Inc()
-		s.trace.Emit(obs.EvErrFull, int64(len(s.free)), int64(need))
-		return ErrFull
-	}
-	id := s.free[len(s.free)-1]
-	s.free = s.free[:len(s.free)-1]
-	s.freeCount.Store(int64(len(s.free)))
-	if s.segs[id] == nil {
-		s.segs[id] = make([]byte, s.opts.SegmentBytes)
-	}
-	s.meta[id] = core.SegmentMeta{
-		Capacity: int64(s.opts.SegmentBytes),
-		Free:     int64(s.opts.SegmentBytes),
-		Stream:   stream,
-		State:    core.SegOpen,
-	}
-	s.fill[id] = 0
-	s.open[stream] = openSeg{id: id}
 	return nil
 }
 
-// writeRecord appends a record into stream's open segment, which must have
-// room (see ensureRoom).
+// writeRecord appends a record at the tail of stream's open segment, which
+// must have room.
 func (s *Store) writeRecord(stream int32, key string, value []byte, carried float64) {
-	s.seen.Note(stream)
-	size := recSize(key, len(value))
-	o := &s.open[stream]
-	b := s.segs[o.id][o.off:]
+	seg, off := s.sp.Tail(stream)
+	b := s.segs[seg][off:]
 	binary.LittleEndian.PutUint16(b[0:2], uint16(len(key)))
 	binary.LittleEndian.PutUint32(b[2:6], uint32(len(value)))
 	copy(b[recHeader:], key)
 	copy(b[recHeader+len(key):], value)
-	s.index[key] = loc{seg: o.id, off: int32(o.off)}
-	o.off += size
-	o.count++
-	o.up2Sum += carried
-	s.fill[o.id] = o.off
-	m := &s.meta[o.id]
-	m.Live++
-	m.Free -= int64(size)
+	s.index[key] = loc{seg: seg, off: int32(off)}
+	// Appended fails only through a seal hook; the value log has none.
+	_ = s.sp.Appended(stream, int64(recSize(key, len(value))), carried)
 }
 
-// seal closes a stream's open segment and installs the average carried up2
-// (§5.2.2).
-func (s *Store) seal(stream int32) {
-	o := &s.open[stream]
-	if o.id < 0 {
-		return
+// live reports victim seg's records that are still current.
+func (s *Store) live(seg int32, yield func(vcand)) {
+	for off := int64(0); off < s.sp.Used(seg); {
+		l := loc{seg: seg, off: int32(off)}
+		key, val := s.decode(l)
+		size := recSize(key, len(val))
+		if cur, ok := s.index[key]; ok && cur == l {
+			yield(vcand{off: l.off, size: int32(size), key: key})
+		}
+		off += int64(size)
 	}
-	m := &s.meta[o.id]
-	m.State = core.SegSealed
-	s.sealSeq++
-	m.SealSeq = s.sealSeq
-	m.SealTime = s.unow
-	if o.count > 0 {
-		m.Up2 = o.up2Sum / float64(o.count)
+}
+
+// relocate copies a candidate that is still current into a GC stream. The
+// source bytes stay put while the victim is in SegCleaning, so the record
+// is copied straight from the victim.
+func (s *Store) relocate(c *segspace.Cand[vcand]) (freed int64, moved bool, err error) {
+	l := loc{seg: c.Seg, off: c.Rec.off}
+	if cur, ok := s.index[c.Rec.key]; !ok || cur != l {
+		return 0, false, nil // overwritten or deleted since selection
 	}
-	*o = openSeg{id: -1}
+	size := int64(c.Rec.size)
+	stream, err := s.sp.ReserveGC(c.Up2, size)
+	if err != nil {
+		return 0, false, err
+	}
+	_, val := s.decode(l)
+	s.writeRecord(stream, c.Rec.key, val, c.Up2)
+	return size, true, nil
 }
 
 // Len returns the number of live keys, 0 on a closed store.
 func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
+	s.sp.RLock()
+	defer s.sp.RUnlock()
+	if s.sp.Closed() {
 		return 0
 	}
 	return len(s.index)
@@ -583,80 +393,53 @@ type Stats struct {
 	Cleaner    cleaner.Stats
 }
 
-// Stats returns a snapshot of the store counters, zero on a closed store.
 // Obs returns the store's metrics registry (always non-nil): the vlog.*
 // and cleaner.* series plus the trace events, snapshottable at any time
 // with Registry.Snapshot.
-func (s *Store) Obs() *obs.Registry { return s.obsReg }
+func (s *Store) Obs() *obs.Registry { return s.opts.Obs }
 
+// Stats returns a snapshot of the store counters, zero on a closed store.
 func (s *Store) Stats() Stats {
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
+	s.sp.RLock()
+	if s.sp.Closed() {
+		s.sp.RUnlock()
 		return Stats{}
 	}
+	u := s.sp.Usage()
 	st := Stats{
 		Keys:            len(s.index),
-		LiveBytes:       s.liveBytes,
 		CapacityBytes:   uint64(s.opts.MaxSegments) * uint64(s.opts.SegmentBytes),
 		UserWrites:      s.userWrites,
-		GCWrites:        s.gcWrites,
+		GCWrites:        u.GCRecords,
 		UserBytes:       s.userBytes,
-		GCBytes:         s.gcBytes,
-		SegmentsCleaned: s.cleanedSegs,
-		FreeSegments:    len(s.free),
-		Streams:         s.streamStatsLocked(),
+		GCBytes:         u.GCBytes,
+		SegmentsCleaned: u.SegmentsCleaned,
+		MeanEAtClean:    u.MeanEAtClean,
+		FreeSegments:    u.FreeSegments,
+		Streams:         u.Streams,
 		Durability:      s.opts.Durability.String(),
 		Commits:         s.commits,
 	}
-	if s.userBytes > 0 {
-		st.WriteAmp = float64(s.gcBytes) / float64(s.userBytes)
+	s.sp.RUnlock()
+	for _, ss := range st.Streams {
+		st.LiveBytes += uint64(ss.LiveBytes)
 	}
-	if s.cleanedSegs > 0 {
-		st.MeanEAtClean = s.sumEAtClean / float64(s.cleanedSegs)
+	if st.UserBytes > 0 {
+		st.WriteAmp = float64(st.GCBytes) / float64(st.UserBytes)
 	}
-	s.mu.RUnlock()
-	if s.cl != nil {
-		st.Background = true
-		st.Cleaner = s.cl.Stats()
-	}
+	st.Background, st.Cleaner = s.sp.Cleaner()
 	return st
-}
-
-// streamStatsLocked aggregates per-stream occupancy: which streams the
-// routed placement actually filled, and how full each stream's open
-// segment is. Caller holds at least the read lock.
-func (s *Store) streamStatsLocked() []core.StreamStats {
-	ss := make([]core.StreamStats, s.streams)
-	for seg := range s.meta {
-		m := &s.meta[seg]
-		if m.State == core.SegFree {
-			continue
-		}
-		i := core.ClampStream(m.Stream, s.streams)
-		ss[i].Segments++
-		ss[i].Live += int(m.Live)
-		ss[i].LiveBytes += m.Capacity - m.Free
-		if m.State == core.SegOpen {
-			ss[i].OpenSegments++
-			ss[i].OpenFill = float64(s.fill[seg]) / float64(s.opts.SegmentBytes)
-		}
-	}
-	for i := range ss {
-		ss[i].Written = s.seen.Has(int32(i))
-	}
-	return ss
 }
 
 // CheckInvariants validates internal consistency (tests):
 // every indexed record decodes to its key; per-segment live counts and free
-// bytes match the index; liveBytes aggregates correctly.
+// bytes match the index.
 func (s *Store) CheckInvariants() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	liveCount := make([]int32, len(s.meta))
-	liveSize := make([]int64, len(s.meta))
-	var total uint64
+	s.sp.RLock()
+	defer s.sp.RUnlock()
+	meta := s.sp.Meta
+	liveCount := make([]int32, len(meta))
+	liveSize := make([]int64, len(meta))
 	for key, l := range s.index {
 		k, v := s.decode(l)
 		if k != key {
@@ -664,13 +447,9 @@ func (s *Store) CheckInvariants() error {
 		}
 		liveCount[l.seg]++
 		liveSize[l.seg] += int64(recSize(k, len(v)))
-		total += uint64(recSize(k, len(v)))
 	}
-	if total != s.liveBytes {
-		return fmt.Errorf("vlog: liveBytes %d, index says %d", s.liveBytes, total)
-	}
-	for i := range s.meta {
-		m := &s.meta[i]
+	for i := range meta {
+		m := &meta[i]
 		if m.State == core.SegFree {
 			if liveCount[i] != 0 {
 				return fmt.Errorf("vlog: free segment %d has %d live records", i, liveCount[i])
@@ -680,8 +459,8 @@ func (s *Store) CheckInvariants() error {
 		if m.Live != liveCount[i] {
 			return fmt.Errorf("vlog: segment %d live %d, index says %d", i, m.Live, liveCount[i])
 		}
-		if m.Capacity-m.Free < liveSize[i] {
-			return fmt.Errorf("vlog: segment %d used bytes %d below live bytes %d", i, m.Capacity-m.Free, liveSize[i])
+		if m.Capacity-m.Free != liveSize[i] {
+			return fmt.Errorf("vlog: segment %d holds %d bytes, index says %d live", i, m.Capacity-m.Free, liveSize[i])
 		}
 	}
 	return nil
