@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 )
 
 // backend abstracts segment storage: per-segment files on disk, or byte
@@ -64,22 +65,21 @@ func (m *memBackend) reset(seg int) error {
 func (m *memBackend) sync(int) error { return nil }
 func (m *memBackend) close() error   { return nil }
 
-// fileBackend stores one file per segment under a directory. The handle
-// table is guarded by a mutex because the background cleaner reads victim
-// segments without holding the store lock; the I/O itself uses ReadAt/
-// WriteAt, which are safe for concurrent use on the same *os.File.
+// fileBackend stores one file per segment under a directory. Handles are
+// opened lazily (mu serializes the opens) and published atomically, so
+// reads, appends and the cleaner's off-lock victim reads take no lock:
+// ReadAt/WriteAt are safe for concurrent use on one *os.File.
 type fileBackend struct {
-	dir string
-	mu  sync.Mutex
-	// files is the lazily-opened handle per segment; access under mu.
-	files []*os.File
+	dir   string
+	mu    sync.Mutex
+	files []atomic.Pointer[os.File]
 }
 
 func newFileBackend(dir string, n int) (*fileBackend, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
 	}
-	return &fileBackend{dir: dir, files: make([]*os.File, n)}, nil
+	return &fileBackend{dir: dir, files: make([]atomic.Pointer[os.File], n)}, nil
 }
 
 func (f *fileBackend) path(seg int) string {
@@ -87,16 +87,19 @@ func (f *fileBackend) path(seg int) string {
 }
 
 func (f *fileBackend) file(seg int) (*os.File, error) {
+	if fh := f.files[seg].Load(); fh != nil {
+		return fh, nil
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.files[seg] != nil {
-		return f.files[seg], nil
+	if fh := f.files[seg].Load(); fh != nil {
+		return fh, nil
 	}
 	fh, err := os.OpenFile(f.path(seg), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: opening segment %d: %w", seg, err)
 	}
-	f.files[seg] = fh
+	f.files[seg].Store(fh)
 	return fh, nil
 }
 
@@ -151,9 +154,7 @@ func (f *fileBackend) reset(seg int) error {
 }
 
 func (f *fileBackend) sync(seg int) error {
-	f.mu.Lock()
-	fh := f.files[seg]
-	f.mu.Unlock()
+	fh := f.files[seg].Load()
 	if fh == nil {
 		return nil
 	}
@@ -167,7 +168,8 @@ func (f *fileBackend) close() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var first error
-	for _, fh := range f.files {
+	for i := range f.files {
+		fh := f.files[i].Load()
 		if fh == nil {
 			continue
 		}
