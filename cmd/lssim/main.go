@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -72,8 +73,10 @@ func main() {
 		cfg.NumSegments = int(float64(tr.Universe)/(*fill*float64(cfg.SegmentPages))) + 1
 		cfg.FillFactor = float64(tr.Universe) / float64(cfg.NumSegments*cfg.SegmentPages)
 		gen = workload.NewReplay("trace", tr.Writes, tr.Universe, tr.Preload, alg.Exact)
-	} else {
-		gen = makeGen(*dist, cfg.UserPages(), *seed)
+	} else if gen, err = parseDist(*dist, cfg.UserPages(), *seed); err != nil {
+		log.Print(err)
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	res, err := sim.Run(cfg, alg, gen, opts)
@@ -95,35 +98,45 @@ func main() {
 	}
 }
 
-func makeGen(dist string, pages int, seed int64) workload.Generator {
-	name, arg, _ := strings.Cut(dist, ":")
+// parseDist builds the synthetic workload named by a -dist value. An
+// unknown name or an out-of-range parameter is an error, never a panic in
+// the workload constructors.
+func parseDist(dist string, pages int, seed int64) (workload.Generator, error) {
+	name, arg, hasArg := strings.Cut(dist, ":")
+	param := func(def float64) (float64, error) {
+		if !hasArg {
+			return def, nil
+		}
+		v, err := strconv.ParseFloat(arg, 64)
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+			return 0, fmt.Errorf("bad %s parameter %q", name, arg)
+		}
+		return v, nil
+	}
 	switch name {
 	case "uniform":
-		return workload.NewUniform(pages, seed)
+		return workload.NewUniform(pages, seed), nil
 	case "zipf":
-		theta := 0.99
-		if arg != "" {
-			v, err := strconv.ParseFloat(arg, 64)
-			if err != nil {
-				log.Fatalf("bad zipf theta %q: %v", arg, err)
-			}
-			theta = v
+		theta, err := param(0.99)
+		if err != nil {
+			return nil, err
 		}
-		return workload.NewZipf(pages, theta, seed)
+		if theta <= 0 {
+			return nil, fmt.Errorf("zipf theta %v out of range (want > 0)", theta)
+		}
+		return workload.NewZipf(pages, theta, seed), nil
 	case "hotcold":
-		m := 0.8
-		if arg != "" {
-			v, err := strconv.ParseFloat(arg, 64)
-			if err != nil {
-				log.Fatalf("bad hotcold skew %q: %v", arg, err)
-			}
-			m = v
+		m, err := param(0.8)
+		if err != nil {
+			return nil, err
 		}
-		return workload.NewSkew(pages, m, seed)
+		if m <= 0 || m >= 1 {
+			return nil, fmt.Errorf("hotcold skew %v out of range (want the update fraction m in (0, 1), e.g. hotcold:0.9)", m)
+		}
+		return workload.NewSkew(pages, m, seed), nil
 	case "shifting":
-		return workload.NewShifting(pages, 0.1, 0.9, uint64(pages/100+1), seed)
+		return workload.NewShifting(pages, 0.1, 0.9, uint64(pages/100+1), seed), nil
 	default:
-		log.Fatalf("unknown workload %q (uniform, zipf:<theta>, hotcold:<m>, shifting)", dist)
-		return nil
+		return nil, fmt.Errorf("unknown workload %q (uniform, zipf:<theta>, hotcold:<m>, shifting)", dist)
 	}
 }

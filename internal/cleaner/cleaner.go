@@ -1,11 +1,13 @@
-// Package cleaner is the background space-reclamation engine shared by the
-// repository's log-structured systems (internal/store and internal/vlog).
+// Package cleaner is the background space-reclamation engine of the
+// repository's log-structured engines. Its one Target is the shared segment
+// space of internal/segspace, which the page store (internal/store) and the
+// value log (internal/vlog) are both built on.
 //
-// The seed ran cleaning synchronously inside the write path: a Put that
-// found the free pool below the low-water mark blocked behind entire
-// cleaning cycles, so the quality of the victim-selection policy never
-// translated into tail latency. This package moves the cleaning lifecycle
-// into a dedicated goroutine driven by free-pool watermarks:
+// Cleaning inline in the write path makes a write that finds the free pool
+// below the low-water mark block behind entire cleaning cycles, so the
+// quality of the victim-selection policy never reaches tail latency. This
+// package runs the cleaning lifecycle in a dedicated goroutine driven by
+// free-pool watermarks:
 //
 //   - below LowWater the cleaner starts running cycles;
 //   - it keeps going until the pool recovers to HighWater (hysteresis, so
@@ -15,13 +17,12 @@
 //     falls below an emergency floor, the regime where the only
 //     alternative would be running out of space entirely.
 //
-// The engine being cleaned implements Target. One cleaning cycle is an
-// explicit state machine — Idle → Selecting → Relocating → Releasing —
-// replacing the ad-hoc "inGC" flags engines used to carry. The split into
-// SelectVictims / Relocate / Release is what enables concurrency: victims
-// are marked (core.SegCleaning) under the engine lock, their records are
-// then immutable, so the expensive relocation I/O can proceed while
-// readers and writers keep using the engine, and only the final pointer
+// One cleaning cycle is an explicit state machine — Idle → Selecting →
+// Relocating → Releasing — over the Target's SelectVictims / Relocate /
+// Release. The split is what enables concurrency: victims are marked
+// (core.SegCleaning) under the engine lock, their records are then
+// immutable, so the expensive relocation I/O can proceed while readers and
+// writers keep using the engine, and only the final pointer
 // re-installation and release need brief lock holds again.
 //
 // Crash-safety contract (durable engines): Relocate must make relocated

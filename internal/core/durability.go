@@ -12,11 +12,10 @@ import "fmt"
 //
 //   - DurNone: records are appended but never explicitly fsynced; data is
 //     only as durable as the operating system makes it. This is the fastest
-//     mode and the zero value (the historical Sync=false default).
+//     mode and the zero value.
 //   - DurSeal: every segment seal and checkpoint install is fsynced, and the
 //     cleaner syncs relocated copies before their victims are reused. A
 //     crash can lose at most the records in not-yet-sealed open segments.
-//     This is the historical Sync=true behavior.
 //   - DurCommit: every successful write or batch commit returns only after
 //     its records are durable. Concurrent committers coalesce onto a single
 //     group fsync — one goroutine flushes the dirty segments, waiters
@@ -33,7 +32,7 @@ type Durability int
 const (
 	// DurNone never fsyncs; the zero value and historical default.
 	DurNone Durability = iota
-	// DurSeal fsyncs segment seals and checkpoints (the old Sync=true).
+	// DurSeal fsyncs segment seals and checkpoints.
 	DurSeal
 	// DurCommit group-fsyncs on every commit; batches are crash-atomic.
 	DurCommit

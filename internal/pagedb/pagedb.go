@@ -96,14 +96,10 @@ var ErrTooLarge = errors.New("pagedb: value too large for page size")
 // ever be allocated there.
 const metaPageID = 0
 
-// metaMagic identifies a pagedb metadata page (format 3: format 2 — the
-// free list spills across overflow pages — plus the WAL checkpoint seq).
+// metaMagic identifies a pagedb metadata page (format 3: the free list
+// spills across overflow pages, and the page carries the WAL checkpoint
+// seq). Formats 1 and 2 are refused on open.
 const metaMagic = "PGDBMET3"
-
-// metaMagicV2 is the previous format, accepted on open: identical except
-// it predates the WAL, so its checkpoint seq is implicitly 0 (a v2 store
-// has no log to replay).
-const metaMagicV2 = "PGDBMET2"
 
 // ovfMagic identifies a free-list overflow page chained off the metadata
 // page.
@@ -740,8 +736,7 @@ const ovfHeaderBytes = 12
 //
 // walSeq is the WAL checkpoint watermark: every transaction with commit
 // seq ≤ walSeq is captured by the page state this metadata page commits,
-// so Open replays only the seqs beyond it. Format 2 is identical minus
-// the walSeq field (implicitly 0: no log existed).
+// so Open replays only the seqs beyond it.
 //
 // The free list never truncates: ids that do not fit page 0 spill into
 // overflow pages at reserved high page ids, committed as members of the
@@ -807,18 +802,13 @@ func (db *DB) encodeMeta(walSeq uint64) (meta []byte, ovf [][]byte, err error) {
 }
 
 func (db *DB) decodeMeta(img []byte) error {
-	if len(img) >= 8 && string(img[:8]) == "PGDBMET1" {
-		return fmt.Errorf("pagedb: store uses the obsolete v1 metadata format (single-page free list); rebuild it with the current version")
+	if len(img) >= 8 && (string(img[:8]) == "PGDBMET1" || string(img[:8]) == "PGDBMET2") {
+		return fmt.Errorf("pagedb: store uses the obsolete %s metadata format (format 3 adds the WAL checkpoint seq); rebuild it with the current version", img[:8])
 	}
-	hdr := 32
-	switch {
-	case len(img) >= 32 && string(img[:8]) == metaMagic:
-		db.walSeq = binary.LittleEndian.Uint64(img[24:32])
-	case len(img) >= 24 && string(img[:8]) == metaMagicV2:
-		hdr = 24 // pre-WAL store: checkpoint seq 0, nothing to replay
-	default:
+	if len(img) < 32 || string(img[:8]) != metaMagic {
 		return fmt.Errorf("pagedb: malformed metadata page")
 	}
+	db.walSeq = binary.LittleEndian.Uint64(img[24:32])
 	nextID := binary.LittleEndian.Uint32(img[8:12])
 	ntrees := int(binary.LittleEndian.Uint32(img[12:16]))
 	nfree := int(binary.LittleEndian.Uint32(img[16:20]))
@@ -828,7 +818,7 @@ func (db *DB) decodeMeta(img []byte) error {
 	if uint64(nfree) > uint64(nextID) || novf > nfree {
 		return fmt.Errorf("pagedb: malformed free list header (%d ids, %d overflow pages, next id %d)", nfree, novf, nextID)
 	}
-	off := hdr
+	off := 32
 	for i := 0; i < ntrees; i++ {
 		if off+2 > len(img) {
 			return fmt.Errorf("pagedb: truncated tree registry")
