@@ -32,8 +32,8 @@ type Config struct {
 	// ErrFull and ErrClosed are the engine's sentinels, returned (ErrFull
 	// wrapped) on capacity exhaustion and on a closed space.
 	ErrFull, ErrClosed error
-	// Segments segments of SegmentBytes (B) each; the watermarks, batch,
-	// algorithm, pacer and registry are the engine options of those names.
+	// Segments segments of SegmentBytes (capacity B) each. The rest mirror
+	// the engine options (FreeLowWater, CleanBatch, FreeHighWater, ...).
 	Segments                              int
 	SegmentBytes                          int64
 	LowWater, Batch, HighWater, Emergency int
