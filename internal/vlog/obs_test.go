@@ -62,6 +62,12 @@ func TestObsSnapshotUnderConcurrentPuts(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	pollers.Wait()
+	// Stop the background cleaner before the final cut: it keeps reclaiming
+	// toward its high watermark after the writers finish, and a victim
+	// released between the Stats and Snapshot reads below would make two
+	// correct counters disagree. (Close would stop it too, but Stats reads
+	// zero on a closed value log.)
+	s.sp.StopCleaner()
 
 	st := s.Stats()
 	snap := s.Obs().Snapshot()
